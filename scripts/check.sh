@@ -127,6 +127,17 @@ if [[ -n "${SAN_FILTER}" ]]; then
   ASAN_OPTIONS="halt_on_error=1" ctest --preset asan -L planner
 fi
 
+# Decoders: the posting-list reader's differential and mutation fuzz
+# (12 000 mutated lists checked against the JSON-DOM oracle), the
+# early-exit suite, and the CRC32C hardware-vs-portable sweep. A decoder
+# that reads past a mutated input's end fails here (ASan), not in
+# production. Skipped when --sanitize-all already ran the full suites.
+if [[ -n "${SAN_FILTER}" ]]; then
+  echo "==> ASan decoder fuzz tests"
+  ASAN_OPTIONS="halt_on_error=1" ctest --preset asan \
+    -R "PostingList|PostingEarlyExit|Crc32c"
+fi
+
 # End-to-end serving smoke: start the release server binary on an ephemeral
 # port, round-trip PUT/GET/LOOKUP through the CLI client, and shut it down.
 echo "==> Server smoke test"

@@ -29,7 +29,11 @@ Status EagerIndex::OnPut(const Slice& primary_key, const Slice& attr_value,
   std::string existing;
   Status s = index_db_->Get(ReadOptions(), attr_value, &existing);
   if (s.ok()) {
-    PostingList::Parse(Slice(existing), &entries);
+    // A list that does not parse is reported, never rewritten: writing
+    // back only the new entry would drop every other posting of the value.
+    if (!PostingList::Parse(Slice(existing), &entries)) {
+      return Status::Corruption("bad posting list for ", attr_value);
+    }
   } else if (!s.IsNotFound()) {
     return s;
   }
@@ -60,7 +64,9 @@ Status EagerIndex::OnDelete(const Slice& primary_key, const Slice& attr_value,
   Status s = index_db_->Get(ReadOptions(), attr_value, &existing);
   if (s.IsNotFound()) return Status::OK();
   if (!s.ok()) return s;
-  PostingList::Parse(Slice(existing), &entries);
+  if (!PostingList::Parse(Slice(existing), &entries)) {
+    return Status::Corruption("bad posting list for ", attr_value);
+  }
   entries.erase(std::remove_if(entries.begin(), entries.end(),
                                [&](const PostingEntry& e) {
                                  return Slice(e.primary_key) == primary_key;
@@ -87,7 +93,9 @@ Status EagerIndex::OnPutBatch(const std::vector<IndexOp>& ops) {
     std::string existing;
     Status s = index_db_->Get(ReadOptions(), Slice(attr_value), &existing);
     if (s.ok()) {
-      PostingList::Parse(Slice(existing), &entries);
+      if (!PostingList::Parse(Slice(existing), &entries)) {
+        return Status::Corruption("bad posting list for ", attr_value);
+      }
     } else if (!s.IsNotFound()) {
       return s;
     }
@@ -154,50 +162,45 @@ Status EagerIndex::Lookup(const Slice& value, size_t k,
   Status s = index_db_->Get(ReadOptions(), value, &list_data);
   if (s.IsNotFound()) return Status::OK();
   if (!s.ok()) return s;
-  std::vector<PostingEntry> entries;
-  if (!PostingList::Parse(Slice(list_data), &entries)) {
-    return Status::Corruption("bad posting list for ", value);
-  }
-  // Counted at parse time (entries in the list this query read), so the
-  // value is identical at every read_parallelism setting.
-  PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
+  // The list is stored-seq-descending: decoding stops at the first entry
+  // whose STORED seq the full heap rejects (the stop rule argued in
+  // lazy_index.cc). A full heap alone is no cutoff: a crash-stale entry
+  // (written index-first, primary never committed) validates at a lower
+  // primary seq than it stored, so a full heap may still be displaced by
+  // later entries — but never by one whose stored seq is already at or
+  // below the heap floor, since a validated result's seq never exceeds the
+  // stored seq of the entry that produced it.
+  PostingListReader reader(list_data);
+  PostingView e;
   TopKCollector heap(k);
   std::set<std::string> seen;
   if (!parallel_reads()) {
-    for (const PostingEntry& e : entries) {
-      // Stop on the STORED seq bound, not on a full heap: a crash-stale
-      // entry (written index-first, primary never committed) can validate
-      // at a lower primary seq than it stored, so a full heap may still be
-      // displaced by later entries — but never by one whose stored seq is
-      // already at or below the heap floor, since a validated result's seq
-      // never exceeds the stored seq of the entry that produced it.
-      if (!heap.WouldAdmit(e.seq)) break;  // List is stored-seq-descending
+    while (reader.Next(&e)) {
+      if (!heap.WouldAdmit(e.seq)) break;
       if (e.deleted) continue;
-      if (!seen.insert(e.primary_key).second) continue;
+      if (!seen.insert(e.primary_key.ToString()).second) continue;
       QueryResult r;
-      if (FetchAndValidate(Slice(e.primary_key), value, value, e.seq, &r)) {
+      if (FetchAndValidate(e.primary_key, value, value, e.seq, &r)) {
         heap.Add(std::move(r));
       }
     }
   } else {
-    // Parallel path: validate the seq-descending list in chunks, each chunk
-    // one MultiGet. A chunk may run past the entry where the sequential
-    // scan stops, but those extras are older than everything the full heap
-    // retains, so Add() rejects them and the final heap is identical.
+    // Parallel path: validate the list in chunks, each chunk one MultiGet.
+    // A chunk may run past the entry where the sequential scan stops, but
+    // those extras are older than everything the full heap retains, so
+    // Add() rejects them and the final heap is identical. Chunk boundaries
+    // apply the same stop rule to the next entry.
     const size_t chunk = BatchChunk(k);
-    size_t idx = 0;
-    // Chunk boundaries stop on the next entry's STORED seq (see the
-    // sequential path: a full heap alone is not a sound cutoff when
-    // crash-stale entries validate below their stored seq).
-    while (idx < entries.size() && heap.WouldAdmit(entries[idx].seq)) {
+    bool more = reader.Next(&e);
+    while (more && heap.WouldAdmit(e.seq)) {
       std::vector<std::string> cand;
       std::vector<SequenceNumber> cand_seqs;
-      while (idx < entries.size() && cand.size() < chunk) {
-        const PostingEntry& e = entries[idx++];
-        if (e.deleted) continue;
-        if (!seen.insert(e.primary_key).second) continue;
-        cand.push_back(e.primary_key);
-        cand_seqs.push_back(e.seq);
+      while (more && cand.size() < chunk) {
+        if (!e.deleted && seen.insert(e.primary_key.ToString()).second) {
+          cand.push_back(e.primary_key.ToString());
+          cand_seqs.push_back(e.seq);
+        }
+        more = reader.Next(&e);
       }
       std::vector<QueryResult> fetched;
       std::vector<char> valid;
@@ -206,6 +209,12 @@ Status EagerIndex::Lookup(const Slice& value, size_t k,
         if (valid[i]) heap.Add(std::move(fetched[i]));
       }
     }
+  }
+  // Entries decoded up to the stop point: the same on both paths whenever
+  // the candidates a lagging chunk fetches are all valid.
+  PerfCounterAdd(&PerfContext::posting_entries_scanned, reader.count());
+  if (reader.malformed()) {
+    return Status::Corruption("bad posting list for ", value);
   }
   *results = heap.TakeSortedNewestFirst();
   return Status::OK();
@@ -240,24 +249,26 @@ Status EagerIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
   };
   std::unique_ptr<Iterator> it(index_db_->NewIterator(ReadOptions()));
   for (it->Seek(lo); it->Valid() && it->key().compare(hi) <= 0; it->Next()) {
-    std::vector<PostingEntry> entries;
-    if (!PostingList::Parse(it->value(), &entries)) continue;
-    PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
-    for (const PostingEntry& e : entries) {
+    // Stop rule as in Lookup; a malformed list yields its well-formed
+    // prefix, whose candidates validation vets.
+    PostingListReader reader(it->value());
+    PostingView e;
+    while (reader.Next(&e)) {
+      if (!heap.WouldAdmit(e.seq)) break;
       if (e.deleted) continue;
-      if (!heap.WouldAdmit(e.seq)) break;  // List is seq-descending
-      if (!seen.insert(e.primary_key).second) continue;
+      if (!seen.insert(e.primary_key.ToString()).second) continue;
       if (batched) {
-        cand.push_back(e.primary_key);
+        cand.push_back(e.primary_key.ToString());
         cand_seqs.push_back(e.seq);
         if (cand.size() >= chunk) flush();
         continue;
       }
       QueryResult r;
-      if (FetchAndValidate(Slice(e.primary_key), lo, hi, e.seq, &r)) {
+      if (FetchAndValidate(e.primary_key, lo, hi, e.seq, &r)) {
         heap.Add(std::move(r));
       }
     }
+    PerfCounterAdd(&PerfContext::posting_entries_scanned, reader.count());
   }
   flush();
   if (!it->status().ok()) return it->status();

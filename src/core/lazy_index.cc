@@ -104,6 +104,33 @@ Status LazyIndex::BulkLoad(const std::vector<IndexOp>& entries) {
                                         /*force_level0=*/!empty_table);
 }
 
+// Stop rule. Lists are stored-seq-descending, so Lookup and RangeLookup
+// stop decoding a list at its first entry whose STORED seq the full heap
+// rejects (!WouldAdmit): every entry left unread is at or below the heap
+// floor, and the floor never falls.
+//
+// Soundness rests on one fact: a validated seq never exceeds the stored
+// seq of the key's newest posting under the record's current value. The
+// put that wrote the record wrote that posting at the record's seq, and
+// any later posting of the key comes from a later write, whose seq
+// (predicted, if it crashed before committing) is higher still. So a
+// record in the true top-K has a newest posting whose stored seq is above
+// every floor the walk sees: no cut falls before it, it is the first
+// occurrence of its (value, key) pair so `seen` passes it, and RangeLookup's
+// `checked` skips it only when the same record was already offered to the
+// heap. What the cut does change is which other entries reach validation:
+// the unread entries' keys are missing from `seen`, so an older occurrence
+// of one (in a lower level, or a later list of the same RangeLookup level)
+// may be validated. That is wasted work, never a wrong answer: validation
+// returns the key's current record whichever posting asked, and seen and
+// checked still offer each key at most once.
+//
+// None of this leans on "the walk stops here": with stale_admitted set the
+// walk descends past lists it cut, and the level-boundary shortcut keeps
+// its own guard, since stale_admitted is computed from the validations this
+// walk actually made. The parallel paths test WouldAdmit against a heap
+// that lags by up to one chunk, so they cut at the same entry or later.
+
 Status LazyIndex::Lookup(const Slice& value, size_t k,
                          std::vector<QueryResult>* results) {
   results->clear();
@@ -126,60 +153,59 @@ Status LazyIndex::Lookup(const Slice& value, size_t k,
         if (frag_deleted) {
           return false;  // Whole-list tombstone shadows everything older.
         }
-        std::vector<PostingEntry> entries;
-        if (PostingList::Parse(fragment, &entries)) {
-          // Counted at parse time (entries in the lists this query read), so
-          // the value is identical at every read_parallelism setting.
-          PerfCounterAdd(&PerfContext::posting_entries_scanned,
-                         entries.size());
-          if (!batched) {
-            for (const PostingEntry& e : entries) {
-              if (!seen.insert(e.primary_key).second) continue;
-              if (e.deleted) continue;  // Marker shadows older occurrences
-              if (!heap.WouldAdmit(e.seq)) continue;
-              QueryResult r;
-              if (FetchAndValidate(Slice(e.primary_key), value, value, e.seq,
-                                   &r)) {
-                if (r.seq != e.seq) stale_admitted = true;
-                heap.Add(std::move(r));
-              }
+        // A malformed fragment yields its well-formed prefix; validation
+        // vets every candidate it offers.
+        PostingListReader reader(fragment);
+        PostingView e;
+        if (!batched) {
+          while (reader.Next(&e)) {
+            if (!heap.WouldAdmit(e.seq)) break;  // Stop rule (above)
+            if (!seen.insert(e.primary_key.ToString()).second) continue;
+            if (e.deleted) continue;  // Marker shadows older occurrences
+            QueryResult r;
+            if (FetchAndValidate(e.primary_key, value, value, e.seq, &r)) {
+              if (r.seq != e.seq) stale_admitted = true;
+              heap.Add(std::move(r));
             }
-          } else {
-            // Parallel path: identical pruning in identical order, but the
-            // surviving candidates resolve through chunked MultiGets.
-            // WouldAdmit sees the heap as of the last chunk boundary —
-            // staler than the sequential interleaving, so it fetches a
-            // bounded superset (at most one chunk of extras); Add() applies
-            // the exact admission predicate afterwards, in the same entry
-            // order, so the final heap is identical.
-            const size_t chunk = BatchChunk(k);
-            std::vector<std::string> cand;
-            std::vector<SequenceNumber> cand_seqs;  // Stored seq per cand
-            auto flush = [&]() {
-              std::vector<QueryResult> fetched;
-              std::vector<char> valid;
-              FetchAndValidateBatch(cand, cand_seqs, value, value, &fetched,
-                                    &valid);
-              for (size_t i = 0; i < cand.size(); i++) {
-                if (valid[i]) {
-                  if (fetched[i].seq != cand_seqs[i]) stale_admitted = true;
-                  heap.Add(std::move(fetched[i]));
-                }
-              }
-              cand.clear();
-              cand_seqs.clear();
-            };
-            for (const PostingEntry& e : entries) {
-              if (!seen.insert(e.primary_key).second) continue;
-              if (e.deleted) continue;
-              if (!heap.WouldAdmit(e.seq)) continue;
-              cand.push_back(e.primary_key);
-              cand_seqs.push_back(e.seq);
-              if (cand.size() >= chunk) flush();
-            }
-            flush();
           }
+        } else {
+          // Parallel path: identical pruning in identical order, but the
+          // surviving candidates resolve through chunked MultiGets.
+          // WouldAdmit sees the heap as of the last chunk boundary —
+          // staler than the sequential interleaving, so it fetches a
+          // bounded superset (at most one chunk of extras); Add() applies
+          // the exact admission predicate afterwards, in the same entry
+          // order, so the final heap is identical.
+          const size_t chunk = BatchChunk(k);
+          std::vector<std::string> cand;
+          std::vector<SequenceNumber> cand_seqs;  // Stored seq per cand
+          auto flush = [&]() {
+            std::vector<QueryResult> fetched;
+            std::vector<char> valid;
+            FetchAndValidateBatch(cand, cand_seqs, value, value, &fetched,
+                                  &valid);
+            for (size_t i = 0; i < cand.size(); i++) {
+              if (valid[i]) {
+                if (fetched[i].seq != cand_seqs[i]) stale_admitted = true;
+                heap.Add(std::move(fetched[i]));
+              }
+            }
+            cand.clear();
+            cand_seqs.clear();
+          };
+          while (reader.Next(&e)) {
+            if (!heap.WouldAdmit(e.seq)) break;
+            if (!seen.insert(e.primary_key.ToString()).second) continue;
+            if (e.deleted) continue;
+            cand.push_back(e.primary_key.ToString());
+            cand_seqs.push_back(e.seq);
+            if (cand.size() >= chunk) flush();
+          }
+          flush();
         }
+        // Entries decoded up to the stop point: the same on both paths
+        // whenever the candidates a lagging chunk fetches are all valid.
+        PerfCounterAdd(&PerfContext::posting_entries_scanned, reader.count());
         // Stop descending once top-K is complete — unless a crash-stale
         // admission broke the levels-are-older invariant (see above).
         return !heap.Full() || stale_admitted;
@@ -258,28 +284,27 @@ Status LazyIndex::RangeLookup(const Slice& lo, const Slice& hi, size_t k,
       if (seen.count(std::make_pair(prev_attr, std::string())) != 0) {
         continue;  // Whole list tombstoned by a newer bucket.
       }
-      std::vector<PostingEntry> entries;
-      if (!PostingList::Parse(it->value(), &entries)) continue;
-      PerfCounterAdd(&PerfContext::posting_entries_scanned, entries.size());
-      for (const PostingEntry& e : entries) {
-        if (!seen.insert(std::make_pair(prev_attr, e.primary_key)).second) {
-          continue;
-        }
+      PostingListReader reader(it->value());
+      PostingView e;
+      while (reader.Next(&e)) {
+        if (!heap.WouldAdmit(e.seq)) break;  // Stop rule (see Lookup)
+        std::string key = e.primary_key.ToString();
+        if (!seen.insert(std::make_pair(prev_attr, key)).second) continue;
         if (e.deleted) continue;
-        if (!heap.WouldAdmit(e.seq)) continue;
-        if (!checked.insert(e.primary_key).second) continue;
+        if (!checked.insert(key).second) continue;
         if (batched) {
-          cand.push_back(e.primary_key);
+          cand.push_back(std::move(key));
           cand_seqs.push_back(e.seq);
           if (cand.size() >= chunk) flush();
           continue;
         }
         QueryResult r;
-        if (FetchAndValidate(Slice(e.primary_key), lo, hi, e.seq, &r)) {
+        if (FetchAndValidate(Slice(key), lo, hi, e.seq, &r)) {
           if (r.seq != e.seq) stale_admitted = true;
           heap.Add(std::move(r));
         }
       }
+      PerfCounterAdd(&PerfContext::posting_entries_scanned, reader.count());
     }
     if (!it->status().ok()) return it->status();
     if (!cand.empty()) flush();

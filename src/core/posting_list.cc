@@ -1,11 +1,163 @@
 #include "core/posting_list.h"
 
 #include <algorithm>
-#include <set>
+#include <charconv>
+#include <forward_list>
+#include <string_view>
+#include <unordered_set>
 
 #include "json/json.h"
 
 namespace leveldbpp {
+
+void PostingListReader::SkipWs() {
+  while (p_ < limit_ &&
+         (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
+    p_++;
+  }
+}
+
+bool PostingListReader::Consume(char c) {
+  SkipWs();
+  if (p_ >= limit_ || *p_ != c) return false;
+  p_++;
+  return true;
+}
+
+bool PostingListReader::ParseKey(Slice* key) {
+  if (!Consume('"')) return false;
+  const char* start = p_;
+  while (p_ < limit_ && *p_ != '"' && *p_ != '\\') p_++;
+  if (p_ >= limit_) return false;  // Unterminated
+  if (*p_ == '"') {
+    *key = Slice(start, p_ - start);  // No escapes: a view into the list
+    p_++;
+    return true;
+  }
+  // Escapes: unescape into scratch_ exactly as json::Parse does.
+  scratch_.assign(start, p_ - start);
+  while (p_ < limit_) {
+    const char c = *p_++;
+    if (c == '"') {
+      *key = Slice(scratch_);
+      return true;
+    }
+    if (c != '\\') {
+      scratch_.push_back(c);
+      continue;
+    }
+    if (p_ >= limit_) return false;
+    const char e = *p_++;
+    switch (e) {
+      case '"': scratch_.push_back('"'); break;
+      case '\\': scratch_.push_back('\\'); break;
+      case '/': scratch_.push_back('/'); break;
+      case 'b': scratch_.push_back('\b'); break;
+      case 'f': scratch_.push_back('\f'); break;
+      case 'n': scratch_.push_back('\n'); break;
+      case 'r': scratch_.push_back('\r'); break;
+      case 't': scratch_.push_back('\t'); break;
+      case 'u': {
+        if (limit_ - p_ < 4) return false;
+        unsigned code = 0;
+        for (int i = 0; i < 4; i++) {
+          const char h = *p_++;
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= (h - '0');
+          else if (h >= 'a' && h <= 'f') code |= (h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= (h - 'A' + 10);
+          else return false;
+        }
+        // UTF-8, BMP only (surrogates encode as three bytes), as json.cc.
+        if (code < 0x80) {
+          scratch_.push_back(static_cast<char>(code));
+        } else if (code < 0x800) {
+          scratch_.push_back(static_cast<char>(0xC0 | (code >> 6)));
+          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        } else {
+          scratch_.push_back(static_cast<char>(0xE0 | (code >> 12)));
+          scratch_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
+        }
+        break;
+      }
+      default:
+        return false;
+    }
+  }
+  return false;  // Unterminated
+}
+
+bool PostingListReader::ParseUint(uint64_t* v) {
+  SkipWs();
+  const char* start = p_;
+  uint64_t n = 0;
+  while (p_ < limit_ && *p_ >= '0' && *p_ <= '9') {
+    n = n * 10 + static_cast<uint64_t>(*p_ - '0');
+    if (n > kMaxSequenceNumber) return false;  // Also guards overflow
+    p_++;
+  }
+  if (p_ == start) return false;
+  *v = n;
+  return true;
+}
+
+bool PostingListReader::Next(PostingView* entry) {
+  if (state_ == State::kStart) {
+    if (!Consume('[')) return Fail();
+    state_ = State::kMore;
+    if (!Consume(']')) return ParseEntry(entry);
+  } else if (state_ == State::kMore) {
+    if (!Consume(']')) return Consume(',') ? ParseEntry(entry) : Fail();
+  } else {
+    return false;  // kDone or kMalformed
+  }
+  // The list's closing bracket is consumed: only whitespace may follow.
+  SkipWs();
+  if (p_ != limit_) return Fail();
+  state_ = State::kDone;
+  return false;
+}
+
+bool PostingListReader::ParseEntry(PostingView* entry) {
+  uint64_t flag = 0;
+  if (!Consume('[') || !ParseKey(&entry->primary_key) || !Consume(',') ||
+      !ParseUint(&entry->seq) || (Consume(',') && !ParseUint(&flag)) ||
+      !Consume(']')) {
+    return Fail();
+  }
+  entry->deleted = flag != 0;
+  count_++;
+  return true;
+}
+
+namespace {
+
+void AppendEntry(std::string* out, const Slice& key, SequenceNumber seq,
+                 bool deleted) {
+  out->push_back('[');
+  json::AppendQuoted(out, key);
+  out->push_back(',');
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), seq);
+  out->append(buf, r.ptr - buf);
+  if (deleted) out->append(",1");
+  out->push_back(']');
+}
+
+struct MergeEntry {
+  Slice key;
+  SequenceNumber seq;
+  bool deleted;
+};
+
+// The canonical output order: seq descending, ties by primary key.
+bool NewerFirst(const MergeEntry& a, const MergeEntry& b) {
+  if (a.seq != b.seq) return a.seq > b.seq;
+  return a.key.compare(b.key) < 0;
+}
+
+}  // namespace
 
 void PostingList::Serialize(const std::vector<PostingEntry>& entries,
                             std::string* out) {
@@ -15,35 +167,21 @@ void PostingList::Serialize(const std::vector<PostingEntry>& entries,
   for (const PostingEntry& e : entries) {
     if (!first) out->push_back(',');
     first = false;
-    out->push_back('[');
-    json::AppendQuoted(out, Slice(e.primary_key));
-    out->push_back(',');
-    out->append(std::to_string(e.seq));
-    if (e.deleted) {
-      out->append(",1");
-    }
-    out->push_back(']');
+    AppendEntry(out, Slice(e.primary_key), e.seq, e.deleted);
   }
   out->push_back(']');
 }
 
 bool PostingList::Parse(const Slice& data, std::vector<PostingEntry>* out) {
   out->clear();
-  json::Value v;
-  if (!json::Parse(data, &v) || !v.is_array()) return false;
-  out->reserve(v.as_array().size());
-  for (const json::Value& item : v.as_array()) {
-    if (!item.is_array()) return false;
-    const json::Array& tuple = item.as_array();
-    if (tuple.size() < 2 || !tuple[0].is_string() || !tuple[1].is_number()) {
-      return false;
-    }
-    PostingEntry e;
-    e.primary_key = tuple[0].as_string();
-    e.seq = static_cast<SequenceNumber>(tuple[1].as_int());
-    e.deleted = (tuple.size() >= 3 && tuple[2].is_number() &&
-                 tuple[2].as_int() != 0);
-    out->push_back(std::move(e));
+  PostingListReader reader(data);
+  PostingView v;
+  while (reader.Next(&v)) {
+    out->emplace_back(v.primary_key.ToString(), v.seq, v.deleted);
+  }
+  if (reader.malformed()) {
+    out->clear();
+    return false;
   }
   return true;
 }
@@ -71,58 +209,68 @@ uint64_t PostingList::EntryCount(const Slice& data) {
   return count;
 }
 
-void PostingList::Merge(
-    const std::vector<std::vector<PostingEntry>>& fragments,
-    bool drop_deletions, std::vector<PostingEntry>* out) {
-  out->clear();
-  // Newest fragment first; within a fragment entries are seq-descending, so
-  // the FIRST occurrence of a primary key across the concatenation is its
-  // newest state... except entries within later fragments can interleave in
-  // seq with earlier fragments only if writes raced — with the engine's
-  // single-writer design fragment recency order is strict. We still do a
-  // full sort afterwards to keep the output canonical.
-  std::set<std::string> seen;
-  for (const auto& fragment : fragments) {
-    for (const PostingEntry& e : fragment) {
-      if (seen.insert(e.primary_key).second) {
-        out->push_back(e);
+bool PostingList::Merge(const std::vector<Slice>& fragments,
+                        bool drop_deletions, std::string* out,
+                        size_t* entries) {
+  // Decode every fragment into views, in fragment order. A key outside its
+  // fragment's bytes sits in the reader's scratch buffer (it held escapes)
+  // and is copied out before the next entry overwrites it.
+  std::vector<MergeEntry> all;
+  std::forward_list<std::string> unescaped;
+  for (const Slice& fragment : fragments) {
+    PostingListReader reader(fragment);
+    PostingView v;
+    while (reader.Next(&v)) {
+      Slice key = v.primary_key;
+      if (key.data() < fragment.data() ||
+          key.data() >= fragment.data() + fragment.size()) {
+        unescaped.emplace_front(key.data(), key.size());
+        key = Slice(unescaped.front());
       }
+      all.push_back({key, v.seq, v.deleted});
     }
+    if (reader.malformed()) return false;
   }
-  std::sort(out->begin(), out->end(),
-            [](const PostingEntry& a, const PostingEntry& b) {
-              if (a.seq != b.seq) return a.seq > b.seq;
-              return a.primary_key < b.primary_key;
-            });
-  if (drop_deletions) {
-    out->erase(std::remove_if(
-                   out->begin(), out->end(),
-                   [](const PostingEntry& e) { return e.deleted; }),
-               out->end());
+
+  // Keep each primary key's first occurrence in fragment order (newest
+  // fragment first, so its newest state), compacting in place; the set
+  // holds views of the key bytes, which outlive the moves.
+  std::unordered_set<std::string_view> seen;
+  seen.reserve(all.size());
+  size_t kept = 0;
+  for (const MergeEntry& e : all) {
+    if (seen.insert(e.key.ToStringView()).second) all[kept++] = e;
   }
+  all.resize(kept);
+  std::sort(all.begin(), all.end(), NewerFirst);
+
+  out->clear();
+  out->push_back('[');
+  size_t written = 0;
+  for (const MergeEntry& e : all) {
+    if (drop_deletions && e.deleted) continue;
+    if (written++ > 0) out->push_back(',');
+    AppendEntry(out, e.key, e.seq, e.deleted);
+  }
+  out->push_back(']');
+  if (entries != nullptr) *entries = written;
+  return true;
 }
 
 bool PostingListMerger::Merge(const Slice& key,
                               const std::vector<Slice>& values_newest_first,
                               bool at_bottom, std::string* result) const {
   (void)key;
-  std::vector<std::vector<PostingEntry>> fragments;
-  fragments.reserve(values_newest_first.size());
-  for (const Slice& v : values_newest_first) {
-    std::vector<PostingEntry> entries;
-    if (!PostingList::Parse(v, &entries)) {
-      // Never drop data on a parse failure: keep the raw newest value.
-      *result = values_newest_first[0].ToString();
-      return true;
-    }
-    fragments.push_back(std::move(entries));
+  size_t entries = 0;
+  if (!PostingList::Merge(values_newest_first, /*drop_deletions=*/at_bottom,
+                          result, &entries)) {
+    // Never drop data on a malformed fragment: keep the raw newest value.
+    *result = values_newest_first[0].ToString();
+    return true;
   }
-  std::vector<PostingEntry> merged;
-  PostingList::Merge(fragments, /*drop_deletions=*/at_bottom, &merged);
-  if (merged.empty() && at_bottom) {
+  if (entries == 0 && at_bottom) {
     return false;  // List fully deleted; drop the key.
   }
-  PostingList::Serialize(merged, result);
   return true;
 }
 

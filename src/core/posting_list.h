@@ -9,6 +9,9 @@
 // which is used during merge in compaction to remove the deleted entry").
 //
 // Wire format: [["k4",97],["k1",55],["k9",12,1]]  (trailing 1 = deleted)
+//
+// Every decode goes through PostingListReader, a single-pass cursor over the
+// raw bytes; no JSON DOM is built for a posting list.
 
 #ifndef LEVELDBPP_CORE_POSTING_LIST_H_
 #define LEVELDBPP_CORE_POSTING_LIST_H_
@@ -32,30 +35,87 @@ struct PostingEntry {
       : primary_key(std::move(k)), seq(s), deleted(d) {}
 };
 
+/// One decoded entry. `primary_key` points into the list's own bytes, or
+/// into the reader's scratch buffer when the key carried JSON escapes; it
+/// stays valid until the reader's next Next() call.
+struct PostingView {
+  Slice primary_key;
+  SequenceNumber seq = 0;
+  bool deleted = false;
+};
+
+/// Single-pass, allocation-free cursor over a serialized posting list.
+///
+/// Accepts the format Serialize writes, with JSON whitespace between
+/// tokens: an array of [string, seq] or [string, seq, flag] tuples, where
+/// seq is a decimal integer no larger than kMaxSequenceNumber and a
+/// non-zero flag marks a deletion. Anything else is malformed: Next()
+/// returns false and malformed() turns true. Keys decode exactly as
+/// json::Parse decodes strings. A caller that stops early never looks at
+/// the rest of the bytes, so malformation past its stop point goes unseen.
+class PostingListReader {
+ public:
+  explicit PostingListReader(const Slice& data)
+      : p_(data.data()), limit_(data.data() + data.size()) {}
+
+  /// Decode the next entry into *entry. Returns false at the end of the
+  /// list and on malformed input.
+  bool Next(PostingView* entry);
+
+  bool malformed() const { return state_ == State::kMalformed; }
+
+  /// Entries decoded so far.
+  uint64_t count() const { return count_; }
+
+ private:
+  enum class State { kStart, kMore, kDone, kMalformed };
+
+  bool Fail() {
+    state_ = State::kMalformed;
+    return false;
+  }
+  void SkipWs();
+  bool Consume(char c);
+  bool ParseEntry(PostingView* entry);
+  bool ParseKey(Slice* key);
+  bool ParseUint(uint64_t* v);
+
+  const char* p_;
+  const char* const limit_;
+  State state_ = State::kStart;
+  uint64_t count_ = 0;
+  std::string scratch_;  // Unescaped key, only for keys holding '\'
+};
+
 class PostingList {
  public:
   /// Serialize `entries` (must be sorted by seq descending).
   static void Serialize(const std::vector<PostingEntry>& entries,
                         std::string* out);
 
-  /// Parse a serialized list. Returns false on malformed input.
+  /// Parse a serialized list. Returns false (and leaves *out empty) on
+  /// malformed input.
   static bool Parse(const Slice& data, std::vector<PostingEntry>* out);
 
   /// Number of entries in a serialized list (0 on malformed input) without
-  /// materializing the entries — the planner's cardinality probe.
+  /// decoding the entries — the planner's cardinality probe.
   static uint64_t EntryCount(const Slice& data);
 
-  /// Merge fragments (each internally seq-descending), newest fragment
-  /// first, into one seq-descending list with one entry per primary key
-  /// (the newest occurrence wins). When `drop_deletions` is true, deletion
+  /// Merge serialized fragments (each internally seq-descending), newest
+  /// fragment first, into one serialized seq-descending list with one entry
+  /// per primary key: the first occurrence in fragment order wins, and ties
+  /// on seq order by primary key. When `drop_deletions` is true, deletion
   /// markers are elided from the output (safe only when no older fragments
-  /// can exist below).
-  static void Merge(const std::vector<std::vector<PostingEntry>>& fragments,
-                    bool drop_deletions, std::vector<PostingEntry>* out);
+  /// can exist below). Returns false, leaving *out unspecified, if any
+  /// fragment is malformed; otherwise *entries (if non-null) receives the
+  /// number of entries written.
+  static bool Merge(const std::vector<Slice>& fragments, bool drop_deletions,
+                    std::string* out, size_t* entries = nullptr);
 };
 
 /// ValueMerger installed on the Lazy index table's DB: merges posting-list
-/// fragments during compaction exactly as Cassandra's index compaction does.
+/// fragments during compaction exactly as Cassandra's index compaction does,
+/// and when a fragment lands on a memtable key that already holds one.
 class PostingListMerger : public ValueMerger {
  public:
   const char* Name() const override { return "leveldbpp.PostingListMerger"; }

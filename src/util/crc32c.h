@@ -11,8 +11,12 @@ namespace leveldbpp {
 namespace crc32c {
 
 /// Return the crc32c of concat(A, data[0, n-1]) where init_crc is the
-/// crc32c of some string A.
+/// crc32c of some string A. Uses the SSE4.2 crc32 instruction when the CPU
+/// has it (checked once), else ExtendPortable.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The table-driven (slicing-by-4) implementation of Extend, for any CPU.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
 
 /// Return the crc32c of data[0, n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

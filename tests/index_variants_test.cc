@@ -124,6 +124,37 @@ TEST_F(VariantTest, EagerDeleteRemovesFromList) {
       eager->index_db()->Get(ReadOptions(), "u1", &list).IsNotFound());
 }
 
+TEST_F(VariantTest, EagerWriteToCorruptListReportsCorruption) {
+  auto db = Open(IndexType::kEager);
+  ASSERT_TRUE(db->Put("t1", Doc("u1")).ok());
+  ASSERT_TRUE(db->Put("t2", Doc("u1")).ok());
+  auto* eager = dynamic_cast<StandAloneIndex*>(db->index("UserID"));
+  ASSERT_NE(nullptr, eager);
+  std::string list;
+  ASSERT_TRUE(eager->index_db()->Get(ReadOptions(), "u1", &list).ok());
+  // Cut inside the last entry: a read-modify-write that took the failed
+  // parse for an empty list would write back only its own entry.
+  const std::string corrupt = list.substr(0, list.size() - 3);
+  ASSERT_TRUE(
+      eager->index_db()->Put(WriteOptions(), "u1", corrupt).ok());
+
+  auto expect_untouched = [&](const std::string& what) {
+    std::string now;
+    ASSERT_TRUE(eager->index_db()->Get(ReadOptions(), "u1", &now).ok());
+    EXPECT_EQ(corrupt, now) << what;
+  };
+  EXPECT_TRUE(db->Put("t3", Doc("u1")).IsCorruption());
+  expect_untouched("OnPut");
+  EXPECT_TRUE(db->Delete("t1").IsCorruption());
+  expect_untouched("OnDelete");
+  IndexOp op;
+  op.primary_key = "t4";
+  op.attr_value = "u1";
+  op.seq = db->primary()->LastSequence() + 1;
+  EXPECT_TRUE(eager->OnPutBatch({op}).IsCorruption());
+  expect_untouched("OnPutBatch");
+}
+
 // ---- Lazy fragment behaviour ----
 
 TEST_F(VariantTest, LazyWritesAreFragmentsNotLists) {

@@ -14,8 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -226,14 +229,111 @@ TEST_F(IngestDBTest, EmptyFeedIsANoop) {
 // 2. Pipelined flush
 // ---------------------------------------------------------------------------
 
+// Once armed, holds the first table file's Sync — the first flush — until
+// the writers have rotated the memtable at least twice, so the immutable
+// queue grows deeper than one slot however fast the background flush would
+// otherwise run.
+class FlushGateEnv : public Env {
+ public:
+  explicit FlushGateEnv(Env* base) : base_(base) {}
+
+  /// Start counting rotations (new WALs) from here.
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    Status s = base_->NewWritableFile(fname, result);
+    if (!s.ok()) return s;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!armed_) return s;
+    if (fname.ends_with(".log")) {
+      rotations_++;
+      cv_.notify_all();
+    } else if (fname.ends_with(".ldb") && !gated_) {
+      gated_ = true;
+      *result = std::make_unique<GatedFile>(std::move(*result), this);
+    }
+    return s;
+  }
+  Status NewSequentialFile(const std::string& f,
+                           std::unique_ptr<SequentialFile>* r) override {
+    return base_->NewSequentialFile(f, r);
+  }
+  Status NewRandomAccessFile(const std::string& f,
+                             std::unique_ptr<RandomAccessFile>* r) override {
+    return base_->NewRandomAccessFile(f, r);
+  }
+  bool FileExists(const std::string& f) override {
+    return base_->FileExists(f);
+  }
+  Status GetChildren(const std::string& d,
+                     std::vector<std::string>* r) override {
+    return base_->GetChildren(d, r);
+  }
+  Status RemoveFile(const std::string& f) override {
+    return base_->RemoveFile(f);
+  }
+  Status CreateDir(const std::string& d) override {
+    return base_->CreateDir(d);
+  }
+  Status RemoveDir(const std::string& d) override {
+    return base_->RemoveDir(d);
+  }
+  Status GetFileSize(const std::string& f, uint64_t* size) override {
+    return base_->GetFileSize(f, size);
+  }
+  Status RenameFile(const std::string& s, const std::string& t) override {
+    return base_->RenameFile(s, t);
+  }
+  uint64_t NowMicros() override { return base_->NowMicros(); }
+
+ private:
+  class GatedFile : public WritableFile {
+   public:
+    GatedFile(std::unique_ptr<WritableFile> file, FlushGateEnv* env)
+        : file_(std::move(file)), env_(env) {}
+    Status Append(const Slice& data) override { return file_->Append(data); }
+    Status Close() override { return file_->Close(); }
+    Status Flush() override { return file_->Flush(); }
+    Status Sync() override {
+      env_->WaitForRotations(2);
+      return file_->Sync();
+    }
+
+   private:
+    std::unique_ptr<WritableFile> file_;
+    FlushGateEnv* env_;
+  };
+
+  // Bounded so a regression shows up as a failed assertion, not a hang.
+  void WaitForRotations(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, std::chrono::seconds(30),
+                 [&] { return rotations_ >= n; });
+  }
+
+  Env* const base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  int rotations_ = 0;
+  bool gated_ = false;
+};
+
 TEST_F(IngestDBTest, PipelinedFlushDrainsMultiWriterLoad) {
+  FlushGateEnv gate(env_.get());
   Options options = MakeOptions();
+  options.env = &gate;
   options.write_buffer_size = 16 << 10;
   options.background_compaction = true;
   options.max_immutable_memtables = 4;
   DBImpl* raw = nullptr;
   ASSERT_TRUE(DBImpl::Open(options, "/pipelined", &raw).ok());
   std::unique_ptr<DBImpl> db(raw);
+  gate.Arm();
 
   const int kThreads = 4, kPerThread = 400;
   std::atomic<int> failures{0};

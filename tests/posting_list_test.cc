@@ -2,9 +2,135 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
+#include <set>
+
+#include "json/json.h"
 #include "util/random.h"
 
 namespace leveldbpp {
+namespace {
+
+// ---- Oracle: the JSON-DOM decoder and merge that PostingListReader
+// replaced, kept here as the reference the streaming path must match.
+
+bool DomParse(const Slice& data, std::vector<PostingEntry>* out) {
+  out->clear();
+  json::Value v;
+  if (!json::Parse(data, &v) || !v.is_array()) return false;
+  out->reserve(v.as_array().size());
+  for (const json::Value& item : v.as_array()) {
+    if (!item.is_array()) return false;
+    const json::Array& tuple = item.as_array();
+    if (tuple.size() < 2 || !tuple[0].is_string() || !tuple[1].is_number()) {
+      return false;
+    }
+    PostingEntry e;
+    e.primary_key = tuple[0].as_string();
+    e.seq = static_cast<SequenceNumber>(tuple[1].as_int());
+    e.deleted = (tuple.size() >= 3 && tuple[2].is_number() &&
+                 tuple[2].as_int() != 0);
+    out->push_back(std::move(e));
+  }
+  return true;
+}
+
+// Returns false where the DOM merger kept the newest value verbatim.
+bool DomMerge(const std::vector<std::string>& values, bool drop_deletions,
+              std::string* out) {
+  std::set<std::string> seen;
+  std::vector<PostingEntry> merged;
+  for (const std::string& v : values) {
+    std::vector<PostingEntry> fragment;
+    if (!DomParse(Slice(v), &fragment)) return false;
+    for (const PostingEntry& e : fragment) {
+      if (seen.insert(e.primary_key).second) merged.push_back(e);
+    }
+  }
+  std::sort(merged.begin(), merged.end(),
+            [](const PostingEntry& a, const PostingEntry& b) {
+              if (a.seq != b.seq) return a.seq > b.seq;
+              return a.primary_key < b.primary_key;
+            });
+  if (drop_deletions) {
+    merged.erase(std::remove_if(merged.begin(), merged.end(),
+                                [](const PostingEntry& e) { return e.deleted; }),
+                 merged.end());
+  }
+  PostingList::Serialize(merged, out);
+  return true;
+}
+
+// The DOM stores numbers as doubles: it rounds seqs above 2^53.
+SequenceNumber DomSeq(SequenceNumber seq) {
+  return static_cast<SequenceNumber>(
+      static_cast<int64_t>(static_cast<double>(seq)));
+}
+
+// Drain a reader over an exactly-sized heap copy of `data`, so AddressSanitizer
+// catches any read past its end. Returns false if the reader rejected it.
+bool ReadAll(const std::string& data, std::vector<PostingEntry>* out) {
+  std::unique_ptr<char[]> buf(new char[data.size()]);
+  std::memcpy(buf.get(), data.data(), data.size());
+  PostingListReader reader(Slice(buf.get(), data.size()));
+  out->clear();
+  PostingView v;
+  while (reader.Next(&v)) {
+    out->emplace_back(v.primary_key.ToString(), v.seq, v.deleted);
+  }
+  EXPECT_EQ(out->size(), reader.count());
+  EXPECT_FALSE(reader.Next(&v));  // Sticky at the end, either way
+  return !reader.malformed();
+}
+
+std::string RandomKey(Random64* rnd) {
+  std::string key;
+  const int len = static_cast<int>(rnd->Uniform(12));
+  for (int i = 0; i < len; i++) {
+    switch (rnd->Uniform(4)) {
+      case 0:  // Any byte: quotes, backslashes, control chars, high bytes
+        key.push_back(static_cast<char>(rnd->Uniform(256)));
+        break;
+      case 1:
+        key.push_back("\"\\/\b\f\n\r\t\x01\x1f"[rnd->Uniform(10)]);
+        break;
+      case 2:
+        key.append(rnd->Uniform(2) ? "\xc3\xa9" : "\xe2\x82\xac");  // UTF-8
+        break;
+      default:
+        key.push_back(static_cast<char>('a' + rnd->Uniform(26)));
+    }
+  }
+  return key;
+}
+
+std::vector<PostingEntry> RandomList(Random64* rnd, SequenceNumber max_seq) {
+  std::vector<PostingEntry> list;
+  const int n = static_cast<int>(rnd->Uniform(4) == 0 ? 0 : rnd->Uniform(9));
+  for (int i = 0; i < n; i++) {
+    SequenceNumber seq = rnd->Uniform(max_seq) + 1;
+    if (rnd->Uniform(8) == 0) seq = max_seq;
+    list.emplace_back(RandomKey(rnd), seq, rnd->Uniform(5) == 0);
+  }
+  std::sort(list.begin(), list.end(),
+            [](const PostingEntry& a, const PostingEntry& b) {
+              return a.seq > b.seq;
+            });
+  return list;
+}
+
+void ExpectSameEntries(const std::vector<PostingEntry>& want,
+                       const std::vector<PostingEntry>& got, bool dom_seqs) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); i++) {
+    EXPECT_EQ(want[i].primary_key, got[i].primary_key) << "[" << i << "]";
+    EXPECT_EQ(want[i].seq, dom_seqs ? DomSeq(got[i].seq) : got[i].seq)
+        << "[" << i << "]";
+    EXPECT_EQ(want[i].deleted, got[i].deleted) << "[" << i << "]";
+  }
+}
 
 TEST(PostingList, SerializeParseRoundTrip) {
   std::vector<PostingEntry> entries = {
@@ -31,6 +157,13 @@ TEST(PostingList, ParseRejectsGarbage) {
   EXPECT_FALSE(PostingList::Parse(Slice("{\"a\":1}"), &parsed));
   EXPECT_FALSE(PostingList::Parse(Slice("[[1,2]]"), &parsed));   // Key not str
   EXPECT_FALSE(PostingList::Parse(Slice("[[\"k\"]]"), &parsed)); // No seq
+  EXPECT_FALSE(PostingList::Parse(Slice("[[\"k\",1],]"), &parsed));
+  EXPECT_FALSE(PostingList::Parse(Slice("[[\"k\",-1]]"), &parsed));
+  EXPECT_FALSE(PostingList::Parse(Slice("[[\"k\",1.5]]"), &parsed));
+  EXPECT_FALSE(PostingList::Parse(Slice("[[\"k\",1]] x"), &parsed));
+  EXPECT_FALSE(PostingList::Parse(Slice("[[\"k\",72057594037927936]]"),
+                                  &parsed));  // kMaxSequenceNumber + 1
+  EXPECT_TRUE(parsed.empty());
 }
 
 TEST(PostingList, EmptyList) {
@@ -42,13 +175,187 @@ TEST(PostingList, EmptyList) {
   EXPECT_TRUE(parsed.empty());
 }
 
+TEST(PostingListReader, ViewsAndWhitespace) {
+  PostingListReader reader(
+      Slice(" [ [ \"a\\\"b\" , 7 , 0 ] ,[\"c\",72057594037927935,1]]\n"));
+  PostingView v;
+  ASSERT_TRUE(reader.Next(&v));
+  EXPECT_EQ("a\"b", v.primary_key.ToString());
+  EXPECT_EQ(7u, v.seq);
+  EXPECT_FALSE(v.deleted);
+  ASSERT_TRUE(reader.Next(&v));
+  EXPECT_EQ("c", v.primary_key.ToString());
+  EXPECT_EQ(kMaxSequenceNumber, v.seq);
+  EXPECT_TRUE(v.deleted);
+  EXPECT_FALSE(reader.Next(&v));
+  EXPECT_FALSE(reader.malformed());
+  EXPECT_EQ(2u, reader.count());
+}
+
+TEST(PostingListReader, StopsMidListWithoutReadingTheRest) {
+  // Early exit: the tail is never looked at, so it may even be garbage.
+  PostingListReader reader(Slice("[[\"a\",9],[\"b\",8],<garbage"));
+  PostingView v;
+  ASSERT_TRUE(reader.Next(&v));
+  ASSERT_TRUE(reader.Next(&v));
+  EXPECT_EQ("b", v.primary_key.ToString());
+  EXPECT_FALSE(reader.malformed());
+  EXPECT_FALSE(reader.Next(&v));
+  EXPECT_TRUE(reader.malformed());
+}
+
+// (a) Serialize round trips: keys over all 256 byte values, seqs up to
+// kMaxSequenceNumber, deletion flags and empty lists come back exactly, and
+// the DOM oracle (up to its double rounding) agrees.
+TEST(PostingListReader, RoundTripsMatchOracle) {
+  Random64 rnd(1301);
+  for (int round = 0; round < 2000; round++) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::vector<PostingEntry> list = RandomList(&rnd, kMaxSequenceNumber);
+    std::string data;
+    PostingList::Serialize(list, &data);
+    std::vector<PostingEntry> got;
+    ASSERT_TRUE(ReadAll(data, &got)) << data;
+    ExpectSameEntries(list, got, /*dom_seqs=*/false);
+    ASSERT_TRUE(PostingList::Parse(Slice(data), &got));
+    ExpectSameEntries(list, got, /*dom_seqs=*/false);
+    EXPECT_EQ(list.size(), PostingList::EntryCount(Slice(data)));
+    std::vector<PostingEntry> oracle;
+    ASSERT_TRUE(DomParse(Slice(data), &oracle)) << data;
+    ExpectSameEntries(oracle, got, /*dom_seqs=*/true);
+  }
+  std::string all_bytes;
+  for (int c = 0; c < 256; c++) all_bytes.push_back(static_cast<char>(c));
+  std::string data;
+  PostingList::Serialize({{all_bytes, 1, false}}, &data);
+  std::vector<PostingEntry> got;
+  ASSERT_TRUE(ReadAll(data, &got));
+  ASSERT_EQ(1u, got.size());
+  EXPECT_EQ(all_bytes, got[0].primary_key);
+}
+
+// One seeded structure-unaware mutation of `base`; `other` feeds splices.
+std::string Mutate(const std::string& base, const std::string& other,
+                   Random64* rnd) {
+  std::string s = base;
+  static const char kInteresting[] = "[]\",\\0123456789 u-.e";
+  const int ops = 1 + static_cast<int>(rnd->Uniform(3));
+  for (int op = 0; op < ops; op++) {
+    const size_t pos = s.empty() ? 0 : rnd->Uniform(s.size() + 1);
+    switch (rnd->Uniform(5)) {
+      case 0:  // Bit flip
+        if (!s.empty()) {
+          s[std::min(pos, s.size() - 1)] ^=
+              static_cast<char>(1u << rnd->Uniform(8));
+        }
+        break;
+      case 1:  // Truncate
+        s.resize(pos);
+        break;
+      case 2:  // Byte insert: structural bytes half the time
+        s.insert(pos, 1,
+                 rnd->Uniform(2) ? kInteresting[rnd->Uniform(
+                                       sizeof(kInteresting) - 1)]
+                                 : static_cast<char>(rnd->Uniform(256)));
+        break;
+      case 3:  // Byte delete
+        if (pos < s.size()) s.erase(pos, 1);
+        break;
+      default: {  // Splice a slice of another list in
+        if (other.empty()) break;
+        const size_t from = rnd->Uniform(other.size());
+        const size_t len = 1 + rnd->Uniform(other.size() - from);
+        const size_t cut = rnd->Uniform(s.size() - std::min(pos, s.size()) + 1);
+        s.replace(std::min(pos, s.size()), cut, other.substr(from, len));
+      }
+    }
+  }
+  return s;
+}
+
+// Seeds that once broke an invariant below; run first. 515: the merge's
+// key set pointed into entries that in-place compaction then overwrote, so
+// duplicate keys survived.
+const std::vector<uint64_t> kPinnedSeeds = {515};
+
+// Returns whether the reader accepted the mutated input.
+bool CheckMutationSeed(uint64_t seed) {
+  Random64 rnd(seed);
+  std::string base, other;
+  PostingList::Serialize(RandomList(&rnd, 1ull << 50), &base);
+  PostingList::Serialize(RandomList(&rnd, 1ull << 50), &other);
+  const std::string input = Mutate(base, other, &rnd);
+  std::vector<PostingEntry> got, oracle, parsed;
+  const bool accepted = ReadAll(input, &got);
+  EXPECT_EQ(accepted, PostingList::Parse(Slice(input), &parsed));
+  if (!accepted) {
+    EXPECT_TRUE(parsed.empty());
+    return false;  // Rejected: always allowed
+  }
+  EXPECT_TRUE(DomParse(Slice(input), &oracle))
+      << "reader accepted what the DOM rejects";
+  ExpectSameEntries(oracle, got, /*dom_seqs=*/true);
+  ExpectSameEntries(got, parsed, /*dom_seqs=*/false);
+  // Merging the accepted input stays byte-identical to the DOM merge (where
+  // the DOM's rounding of seqs above 2^53 does not enter).
+  for (const PostingEntry& e : got) {
+    if (e.seq > (1ull << 53)) return true;
+  }
+  for (bool drop : {false, true}) {
+    std::string want, have;
+    EXPECT_TRUE(DomMerge({input, base}, drop, &want));
+    EXPECT_TRUE(
+        PostingList::Merge({Slice(input), Slice(base)}, drop, &have));
+    EXPECT_EQ(want, have);
+  }
+  return true;
+}
+
+// (b) Mutation fuzz: every mutated list is either rejected by the reader or
+// decoded to exactly the DOM oracle's entries — never a crash or an
+// out-of-bounds read (run under AddressSanitizer by scripts/check.sh).
+TEST(PostingListReader, MutationFuzzMatchesOracle) {
+  for (uint64_t seed : kPinnedSeeds) {
+    SCOPED_TRACE("pinned seed " + std::to_string(seed));
+    CheckMutationSeed(seed);
+  }
+  int accepted = 0;
+  const int kSeeds = 12000;
+  for (uint64_t seed = 1; seed <= kSeeds; seed++) {
+    SCOPED_TRACE("mutation seed " + std::to_string(seed) +
+                 " (pin failing seeds in kPinnedSeeds)");
+    accepted += CheckMutationSeed(seed);
+    if (HasFailure()) return;  // Report the first failing seed only
+  }
+  // Both outcomes must be well exercised for the comparison to mean much.
+  EXPECT_GT(accepted, kSeeds / 10);
+  EXPECT_LT(accepted, kSeeds * 9 / 10);
+  std::printf("mutation fuzz: %d of %d mutated lists accepted\n", accepted,
+              kSeeds);
+}
+
+std::string Ser(const std::vector<PostingEntry>& entries) {
+  std::string s;
+  PostingList::Serialize(entries, &s);
+  return s;
+}
+
+std::vector<PostingEntry> MergeToEntries(
+    const std::vector<std::string>& fragments, bool drop_deletions) {
+  std::vector<Slice> slices(fragments.begin(), fragments.end());
+  std::string out;
+  EXPECT_TRUE(PostingList::Merge(slices, drop_deletions, &out));
+  std::vector<PostingEntry> entries;
+  EXPECT_TRUE(PostingList::Parse(Slice(out), &entries)) << out;
+  return entries;
+}
+
 TEST(PostingList, MergeNewestWinsPerKey) {
-  std::vector<std::vector<PostingEntry>> fragments = {
-      {{"t3", 30, false}, {"t1", 25, false}},   // Newest fragment
-      {{"t2", 20, false}, {"t1", 10, false}},   // Older: t1@10 shadowed
+  std::vector<std::string> fragments = {
+      Ser({{"t3", 30, false}, {"t1", 25, false}}),  // Newest fragment
+      Ser({{"t2", 20, false}, {"t1", 10, false}}),  // Older: t1@10 shadowed
   };
-  std::vector<PostingEntry> merged;
-  PostingList::Merge(fragments, false, &merged);
+  std::vector<PostingEntry> merged = MergeToEntries(fragments, false);
   ASSERT_EQ(3u, merged.size());
   EXPECT_EQ("t3", merged[0].primary_key);
   EXPECT_EQ("t1", merged[1].primary_key);
@@ -57,38 +364,37 @@ TEST(PostingList, MergeNewestWinsPerKey) {
 }
 
 TEST(PostingList, MergeDeletionMarkers) {
-  std::vector<std::vector<PostingEntry>> fragments = {
-      {{"t1", 40, true}},                       // Marker for t1
-      {{"t1", 10, false}, {"t2", 5, false}},    // Old entry for t1
+  std::vector<std::string> fragments = {
+      Ser({{"t1", 40, true}}),                     // Marker for t1
+      Ser({{"t1", 10, false}, {"t2", 5, false}}),  // Old entry for t1
   };
-  std::vector<PostingEntry> merged;
-
   // Not at bottom: the marker must survive (older fragments may exist in
   // lower levels).
-  PostingList::Merge(fragments, /*drop_deletions=*/false, &merged);
+  std::vector<PostingEntry> merged = MergeToEntries(fragments, false);
   ASSERT_EQ(2u, merged.size());
   EXPECT_EQ("t1", merged[0].primary_key);
   EXPECT_TRUE(merged[0].deleted);
   EXPECT_EQ("t2", merged[1].primary_key);
 
   // At bottom: marker (and its shadowed entry) vanish.
-  PostingList::Merge(fragments, /*drop_deletions=*/true, &merged);
+  merged = MergeToEntries(fragments, true);
   ASSERT_EQ(1u, merged.size());
   EXPECT_EQ("t2", merged[0].primary_key);
 }
 
 TEST(PostingList, MergeOutputSortedBySeqDesc) {
   Random64 rnd(9);
-  std::vector<std::vector<PostingEntry>> fragments(4);
+  std::vector<std::string> fragments;
   uint64_t seq = 1000;
   for (int f = 0; f < 4; f++) {
+    std::vector<PostingEntry> fragment;
     for (int i = 0; i < 20; i++) {
-      fragments[f].push_back(
+      fragment.push_back(
           {"k" + std::to_string(rnd.Uniform(200)), seq--, false});
     }
+    fragments.push_back(Ser(fragment));
   }
-  std::vector<PostingEntry> merged;
-  PostingList::Merge(fragments, false, &merged);
+  std::vector<PostingEntry> merged = MergeToEntries(fragments, false);
   for (size_t i = 1; i < merged.size(); i++) {
     EXPECT_GE(merged[i - 1].seq, merged[i].seq);
   }
@@ -96,6 +402,46 @@ TEST(PostingList, MergeOutputSortedBySeqDesc) {
   std::set<std::string> keys;
   for (const PostingEntry& e : merged) {
     EXPECT_TRUE(keys.insert(e.primary_key).second) << e.primary_key;
+  }
+}
+
+// Merge output is byte-identical to the DOM merge it replaced, on sorted
+// fragments and on fragments out of canonical order, with repeated keys,
+// seq ties, escapes and markers.
+TEST(PostingList, MergeMatchesDomMerge) {
+  Random64 rnd(77);
+  for (int round = 0; round < 1500; round++) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    std::vector<std::string> values;
+    const int n = 1 + static_cast<int>(rnd.Uniform(5));
+    for (int f = 0; f < n; f++) {
+      std::vector<PostingEntry> list;
+      const int len = static_cast<int>(rnd.Uniform(12));
+      for (int i = 0; i < len; i++) {
+        std::string key = rnd.Uniform(6) == 0
+                              ? RandomKey(&rnd)
+                              : "k" + std::to_string(rnd.Uniform(16));
+        list.emplace_back(std::move(key), rnd.Uniform(40),
+                          rnd.Uniform(4) == 0);
+      }
+      if (rnd.Uniform(3) != 0) {
+        std::sort(list.begin(), list.end(),
+                  [](const PostingEntry& a, const PostingEntry& b) {
+                    if (a.seq != b.seq) return a.seq > b.seq;
+                    return a.primary_key < b.primary_key;
+                  });
+      }
+      values.push_back(Ser(list));
+    }
+    std::vector<Slice> slices(values.begin(), values.end());
+    for (bool drop : {false, true}) {
+      std::string want, have;
+      ASSERT_TRUE(DomMerge(values, drop, &want));
+      size_t entries = 0;
+      ASSERT_TRUE(PostingList::Merge(slices, drop, &have, &entries));
+      EXPECT_EQ(want, have);
+      EXPECT_EQ(PostingList::EntryCount(Slice(have)), entries);
+    }
   }
 }
 
@@ -139,4 +485,5 @@ TEST(PostingListMerger, UnparseableValueKeptVerbatim) {
   EXPECT_EQ("garbage", out);  // Never drop data on parse failure
 }
 
+}  // namespace
 }  // namespace leveldbpp
