@@ -42,6 +42,10 @@
 #     sorted view pays one binary search per Seek and then streams runs
 #     sequentially; the gap over the per-Next heap reshuffle widens with
 #     scan width.
+#   * bench_fig10_userid --json — the paper's Figure 10 LOOKUP and
+#     RANGELOOKUP(UserID) cells, p50/p99 per variant and top-K, 20k tweets.
+#     NoIndex scans every record per query, so its rows also carry
+#     ns_per_record: the per-record cost of fetching and extracting.
 #   * bench_join — index-nested-loop joins between two stores, join-value
 #     cardinality sweep (8 / 64 / 512 distinct values over 4k rows per
 #     side) across all five variants: few huge groups are
@@ -115,6 +119,9 @@ echo "==> range scans (heap-merge vs sorted view, selectivity sweep)"
 
 echo "==> joins (index-nested-loop, join-value cardinality sweep)"
 "${bin}/bench/bench_join" --n=4000 --reps=3 >> "${tmp}"
+
+echo "==> fig10 UserID queries (NoIndex rows carry the per-record scan cost)"
+"${bin}/bench/bench_fig10_userid" --n=20000 --queries=100 --json >> "${tmp}"
 
 mv "${tmp}" "${out}"
 trap - EXIT

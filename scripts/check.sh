@@ -128,14 +128,16 @@ if [[ -n "${SAN_FILTER}" ]]; then
 fi
 
 # Decoders: the posting-list reader's differential and mutation fuzz
-# (12 000 mutated lists checked against the JSON-DOM oracle), the
-# early-exit suite, and the CRC32C hardware-vs-portable sweep. A decoder
-# that reads past a mutated input's end fails here (ASan), not in
-# production. Skipped when --sanitize-all already ran the full suites.
+# (12 000 mutated lists checked against the JSON-DOM oracle), the document
+# field scanner's (12 000 mutated documents against the frozen DOM
+# extractor, plus the nesting-depth bound), the early-exit suite, and the
+# CRC32C hardware-vs-portable sweep. A decoder that reads past a mutated
+# input's end fails here (ASan), not in production. Skipped when
+# --sanitize-all already ran the full suites.
 if [[ -n "${SAN_FILTER}" ]]; then
   echo "==> ASan decoder fuzz tests"
   ASAN_OPTIONS="halt_on_error=1" ctest --preset asan \
-    -R "PostingList|PostingEarlyExit|Crc32c"
+    -R "PostingList|PostingEarlyExit|Crc32c|DocumentScan"
 fi
 
 # End-to-end serving smoke: start the release server binary on an ephemeral

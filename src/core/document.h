@@ -12,15 +12,22 @@
 
 namespace leveldbpp {
 
-/// Extracts top-level attributes from JSON-object record values. String
-/// attribute values extract as their raw bytes; numbers as their compact
-/// serialization. Attribute encodings must be order-preserving under
-/// bytewise comparison for zone maps / range queries to prune correctly
-/// (e.g. use fixed-width decimal timestamps).
+/// Extracts top-level attributes from JSON-object record values with one
+/// json::ScanObjectFields pass per record, building no DOM. The answer is
+/// the one a full json::Parse would give: a malformed document carries no
+/// attribute, a repeated key's last occurrence wins, keys match after
+/// unescaping; string values extract as their unescaped bytes, numbers as
+/// their compact serialization (json::AppendNumber), booleans as `true` /
+/// `false`; null, array and object values are not indexable. Attribute
+/// encodings must be order-preserving under bytewise comparison for zone
+/// maps / range queries to prune correctly (e.g. use fixed-width decimal
+/// timestamps).
 class JsonAttributeExtractor : public AttributeExtractor {
  public:
-  bool Extract(const Slice& record_value, const std::string& attr,
-               std::string* out) const override;
+  void ExtractAll(const Slice& record_value,
+                  std::span<const std::string> attrs,
+                  std::span<std::string> values,
+                  std::span<char> found) const override;
 
   /// Process-wide instance.
   static const JsonAttributeExtractor* Instance();

@@ -25,67 +25,9 @@ bool PostingListReader::Consume(char c) {
 }
 
 bool PostingListReader::ParseKey(Slice* key) {
-  if (!Consume('"')) return false;
-  const char* start = p_;
-  while (p_ < limit_ && *p_ != '"' && *p_ != '\\') p_++;
-  if (p_ >= limit_) return false;  // Unterminated
-  if (*p_ == '"') {
-    *key = Slice(start, p_ - start);  // No escapes: a view into the list
-    p_++;
-    return true;
-  }
-  // Escapes: unescape into scratch_ exactly as json::Parse does.
-  scratch_.assign(start, p_ - start);
-  while (p_ < limit_) {
-    const char c = *p_++;
-    if (c == '"') {
-      *key = Slice(scratch_);
-      return true;
-    }
-    if (c != '\\') {
-      scratch_.push_back(c);
-      continue;
-    }
-    if (p_ >= limit_) return false;
-    const char e = *p_++;
-    switch (e) {
-      case '"': scratch_.push_back('"'); break;
-      case '\\': scratch_.push_back('\\'); break;
-      case '/': scratch_.push_back('/'); break;
-      case 'b': scratch_.push_back('\b'); break;
-      case 'f': scratch_.push_back('\f'); break;
-      case 'n': scratch_.push_back('\n'); break;
-      case 'r': scratch_.push_back('\r'); break;
-      case 't': scratch_.push_back('\t'); break;
-      case 'u': {
-        if (limit_ - p_ < 4) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; i++) {
-          const char h = *p_++;
-          code <<= 4;
-          if (h >= '0' && h <= '9') code |= (h - '0');
-          else if (h >= 'a' && h <= 'f') code |= (h - 'a' + 10);
-          else if (h >= 'A' && h <= 'F') code |= (h - 'A' + 10);
-          else return false;
-        }
-        // UTF-8, BMP only (surrogates encode as three bytes), as json.cc.
-        if (code < 0x80) {
-          scratch_.push_back(static_cast<char>(code));
-        } else if (code < 0x800) {
-          scratch_.push_back(static_cast<char>(0xC0 | (code >> 6)));
-          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        } else {
-          scratch_.push_back(static_cast<char>(0xE0 | (code >> 12)));
-          scratch_.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-          scratch_.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-        }
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return false;  // Unterminated
+  // A view into the list, or into scratch_ when the key holds escapes.
+  SkipWs();
+  return json::ReadString(&p_, limit_, key, &scratch_);
 }
 
 bool PostingListReader::ParseUint(uint64_t* v) {

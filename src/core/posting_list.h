@@ -50,9 +50,10 @@ struct PostingView {
 /// tokens: an array of [string, seq] or [string, seq, flag] tuples, where
 /// seq is a decimal integer no larger than kMaxSequenceNumber and a
 /// non-zero flag marks a deletion. Anything else is malformed: Next()
-/// returns false and malformed() turns true. Keys decode exactly as
-/// json::Parse decodes strings. A caller that stops early never looks at
-/// the rest of the bytes, so malformation past its stop point goes unseen.
+/// returns false and malformed() turns true. Keys decode with
+/// json::ReadString, the string rule json::Parse uses. A caller that stops
+/// early never looks at the rest of the bytes, so malformation past its
+/// stop point goes unseen.
 class PostingListReader {
  public:
   explicit PostingListReader(const Slice& data)

@@ -268,6 +268,12 @@ class SecondaryDB {
   Status OpenIndex(const std::string& attr,
                    std::unique_ptr<SecondaryIndex>* index);
 
+  /// Scan `record` once for every indexed attribute and append an
+  /// (index, value) pair per attribute the record carries.
+  void ExtractIndexed(
+      const Slice& record,
+      std::vector<std::pair<SecondaryIndex*, std::string>>* attr_values);
+
   /// kDeferredBatch: append one op to the buffer; drains inline when the
   /// buffer hits deferred_batch_max_ops.
   Status BufferDeferred(SecondaryIndex* index, const Slice& primary_key,

@@ -22,6 +22,8 @@ MemTable::MemTable(const InternalKeyComparator& comparator,
       num_entries_(0),
       attributes_(std::move(attributes)),
       extractor_(extractor),
+      attr_values_(attributes_.size()),
+      attr_found_(attributes_.size()),
       secondary_(attributes_.size()) {}
 
 MemTable::~MemTable() { assert(refs_ == 0); }
@@ -101,14 +103,14 @@ void MemTable::Add(SequenceNumber s, ValueType type, const Slice& key,
   table_.Insert(buf);
   num_entries_++;
 
-  // Maintain the in-memory secondary index over unflushed records.
+  // Maintain the in-memory secondary index over unflushed records. The
+  // document is scanned before the lock is taken, so concurrent
+  // SecondaryLookup readers wait only for the inserts.
   if (type == kTypeValue && extractor_ != nullptr) {
-    std::string attr_value;
+    extractor_->ExtractAll(value, attributes_, attr_values_, attr_found_);
     std::unique_lock<std::shared_mutex> lock(secondary_mutex_);
     for (size_t i = 0; i < attributes_.size(); i++) {
-      if (extractor_->Extract(value, attributes_[i], &attr_value)) {
-        secondary_[i].emplace(attr_value, buf);
-      }
+      if (attr_found_[i]) secondary_[i].emplace(attr_values_[i], buf);
     }
   }
 }

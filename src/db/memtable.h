@@ -110,6 +110,9 @@ class MemTable {
 
   std::vector<std::string> attributes_;
   const AttributeExtractor* extractor_;
+  // Add()'s extraction buffers, reused across records (Add is single-writer).
+  std::vector<std::string> attr_values_;
+  std::vector<char> attr_found_;
   // Per attribute: attr value -> pointer to the skiplist entry buffer.
   // Lookup decodes key/seq/value from the entry. Unlike the skiplist, the
   // multimap is not safe for concurrent read/insert, so it has its own

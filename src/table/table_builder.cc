@@ -28,7 +28,9 @@ struct TableBuilder::Rep {
                          ? nullptr
                          : new FilterBlockBuilder(opt.filter_policy)),
         zone_builder(opt.secondary_attributes),
-        pending_index_entry(false) {
+        pending_index_entry(false),
+        attr_values(opt.secondary_attributes.size()),
+        attr_found(opt.secondary_attributes.size()) {
     if (options.comparator == nullptr) {
       options.comparator = BytewiseComparator();
     }
@@ -64,7 +66,9 @@ struct TableBuilder::Rep {
   BlockHandle pending_handle;  // Handle of the block we're adding index for
 
   std::string compressed_output;
-  std::string attr_scratch;
+  // Add()'s attribute extraction buffers, reused across records.
+  std::vector<std::string> attr_values;
+  std::vector<char> attr_found;
 };
 
 TableBuilder::TableBuilder(const Options& options, WritableFile* file)
@@ -100,14 +104,16 @@ void TableBuilder::Add(const Slice& key, const Slice& value) {
   // feed the per-block secondary bloom + zone map.
   if (!r->options.secondary_attributes.empty() &&
       r->options.attribute_extractor != nullptr && !value.empty()) {
+    r->options.attribute_extractor->ExtractAll(
+        value, r->options.secondary_attributes, r->attr_values,
+        r->attr_found);
     for (size_t i = 0; i < r->options.secondary_attributes.size(); i++) {
-      if (r->options.attribute_extractor->Extract(
-              value, r->options.secondary_attributes[i], &r->attr_scratch)) {
-        if (i < r->sec_filter_blocks.size()) {
-          r->sec_filter_blocks[i]->AddKey(Slice(r->attr_scratch));
-        }
-        r->zone_builder.Add(i, Slice(r->attr_scratch));
+      if (!r->attr_found[i]) continue;
+      const Slice attr_value(r->attr_values[i]);
+      if (i < r->sec_filter_blocks.size()) {
+        r->sec_filter_blocks[i]->AddKey(attr_value);
       }
+      r->zone_builder.Add(i, attr_value);
     }
   }
 

@@ -36,6 +36,7 @@ const std::vector<PerfContext::Field>& PerfContext::CounterFields() {
       {"perf.candidates.valid", &PerfContext::candidates_valid},
       {"perf.sortedview.seeks", &PerfContext::sortedview_seeks},
       {"perf.sortedview.steps", &PerfContext::sortedview_steps},
+      {"perf.documents.scanned", &PerfContext::documents_scanned},
   };
   return kFields;
 }

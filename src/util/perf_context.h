@@ -43,6 +43,7 @@ struct PerfContext {
   uint64_t candidates_valid = 0;          // ... that confirmed the attribute
   uint64_t sortedview_seeks = 0;          // sorted-view segment binary searches
   uint64_t sortedview_steps = 0;          // selector bytes replayed/advanced
+  uint64_t documents_scanned = 0;         // records scanned for attributes
 
   // Stage timers (microseconds, steady clock). Stages overlap: a secondary
   // lookup's validate_micros is a slice of its lookup_micros.

@@ -97,6 +97,28 @@ TEST(ServeProtocolTest, RoundTrips) {
   EXPECT_GT(fx.db->statistics()->Get(kServeBytesWritten), 0u);
 }
 
+// A PUT whose document nests 100 000 arrays (about 200 KB, far below the
+// frame limit) must not take the server down: the record is stored
+// unindexed, as malformed JSON is, and reads back with GET.
+TEST(ServeProtocolTest, DeeplyNestedDocumentIsStoredUnindexed) {
+  ServeFixture fx;
+  std::unique_ptr<Client> client = fx.Connect();
+  const std::string deep = "{\"UserID\":\"u1\",\"Body\":" +
+                           std::string(100000, '[') +
+                           std::string(100000, ']') + "}";
+  ASSERT_TRUE(client->Put("deep", deep).ok());
+  ASSERT_TRUE(client->Put("plain", Doc("u1", 1)).ok());
+  std::string value;
+  ASSERT_TRUE(client->Get("deep", &value).ok());
+  EXPECT_EQ(deep, value);
+  std::vector<QueryResult> results;
+  ASSERT_TRUE(client->Lookup("UserID", "u1", 0, &results).ok());
+  ASSERT_EQ(1u, results.size());
+  EXPECT_EQ("plain", results[0].primary_key);
+  std::unique_ptr<Client> fresh = fx.Connect();
+  EXPECT_TRUE(fresh->Ping().ok());
+}
+
 TEST(ServeProtocolTest, ConcurrentClients) {
   ServeFixture fx(/*shards=*/4);
   constexpr int kThreads = 4;
