@@ -6,7 +6,6 @@
 #include <set>
 #include <utility>
 
-#include "core/document.h"
 #include "env/thread_pool.h"
 #include "util/perf_context.h"
 
@@ -46,7 +45,6 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
                            const std::vector<std::string>* prune_values) {
   results->clear();
   TopKCollector heap(k);
-  const JsonAttributeExtractor* extractor = JsonAttributeExtractor::Instance();
   // Conjunctive pre-pruning (LookupWhere): a candidate block must ALSO be
   // able to contain one of the residual IN values — the second attribute's
   // embedded bloom + zone map answer that without reading the block. Sound
@@ -75,10 +73,7 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
   auto consider = [&](const Slice& user_key, SequenceNumber seq,
                       const Slice& record, int level, uint64_t file) {
     if (!heap.WouldAdmit(seq)) return;
-    if (!extractor->Extract(record, attribute_, &attr_scratch)) return;
-    Slice av(attr_scratch);
-    if (av.compare(lo) < 0 || av.compare(hi) > 0) return;
-    if (filter != nullptr && !(*filter)(record)) return;
+    if (!ScanMatches(record, lo, hi, filter, &attr_scratch)) return;
     auto id = std::make_pair(user_key.ToString(), seq);
     if (admitted.count(id) != 0) return;
     // Validity: is this record still the newest version of its key? This is
@@ -210,8 +205,7 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
             const size_t end = wave + (wave_end - wave) * (t + 1) / ntasks;
             tasks.push_back([this, &cands, &block_matches, &block_status,
                              paranoid, wave, begin, end, &read_options, &lo,
-                             &hi, &heap, extractor, filter,
-                             &block_may_pass_residual]() {
+                             &hi, &heap, filter, &block_may_pass_residual]() {
               std::string prev_key;
               std::string attr_scratch;
               for (size_t ci = begin; ci < end; ci++) {
@@ -248,18 +242,13 @@ Status EmbeddedIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
                       was_first && c.block > 0 &&
                       SupersededWithinTable(c.table, read_options, ikey);
                   if (!superseded &&
-                      extractor->Extract(it->value(), attribute_,
-                                         &attr_scratch)) {
-                    Slice av(attr_scratch);
-                    if (av.compare(lo) >= 0 && av.compare(hi) <= 0 &&
-                        (filter == nullptr || (*filter)(it->value())) &&
-                        primary_->IsNewestVersion(ikey.user_key,
-                                                  ikey.sequence, c.level,
-                                                  c.file)) {
-                      out->push_back(Match{ikey.user_key.ToString(),
-                                           ikey.sequence,
-                                           it->value().ToString()});
-                    }
+                      ScanMatches(it->value(), lo, hi, filter,
+                                  &attr_scratch) &&
+                      primary_->IsNewestVersion(ikey.user_key, ikey.sequence,
+                                                c.level, c.file)) {
+                    out->push_back(Match{ikey.user_key.ToString(),
+                                         ikey.sequence,
+                                         it->value().ToString()});
                   }
                 }
                 if (paranoid && !it->status().ok()) {

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "core/document.h"
 #include "util/perf_context.h"
 
 namespace leveldbpp {
@@ -12,7 +11,6 @@ Status NoIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
                      const RecordFilter* filter) {
   results->clear();
   TopKCollector heap(k);
-  const JsonAttributeExtractor* extractor = JsonAttributeExtractor::Instance();
   std::string attr_scratch;
 
   // ScanAll exposes only the newest live version of each key, so no
@@ -23,16 +21,12 @@ Status NoIndex::Scan(const Slice& lo, const Slice& hi, size_t k,
       ReadOptions(),
       [&](const Slice& key, SequenceNumber seq, const Slice& record) {
         PerfCounterAdd(&PerfContext::candidate_records_scanned, 1);
-        if (extractor->Extract(record, attribute_, &attr_scratch)) {
-          Slice av(attr_scratch);
-          if (av.compare(lo) >= 0 && av.compare(hi) <= 0 &&
-              (filter == nullptr || (*filter)(record))) {
-            QueryResult r;
-            r.primary_key = key.ToString();
-            r.seq = seq;
-            r.value = record.ToString();
-            heap.Add(std::move(r));
-          }
+        if (ScanMatches(record, lo, hi, filter, &attr_scratch)) {
+          QueryResult r;
+          r.primary_key = key.ToString();
+          r.seq = seq;
+          r.value = record.ToString();
+          heap.Add(std::move(r));
         }
         return true;
       });

@@ -31,8 +31,8 @@ class NoIndex : public SecondaryIndex {
     return Scan(lo, hi, k, results);
   }
 
-  /// Conjunctive LOOKUP: val(A) == value AND filter(record). Same full
-  /// scan; the residual predicate is just one more check per record.
+  /// Conjunctive LOOKUP: the same full scan, with `filter` (which must
+  /// itself require val(A) == value, see RecordFilter) as the predicate.
   Status LookupWhere(const Slice& value, const RecordFilter& filter, size_t k,
                      std::vector<QueryResult>* results) {
     return Scan(value, value, k, results, &filter);

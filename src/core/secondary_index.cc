@@ -36,6 +36,18 @@ Status SecondaryIndex::BulkLoad(const std::vector<IndexOp>& entries) {
   return Status::OK();
 }
 
+bool SecondaryIndex::ScanMatches(const Slice& record, const Slice& lo,
+                                 const Slice& hi, const RecordFilter* filter,
+                                 std::string* scratch) const {
+  if (filter != nullptr) return (*filter)(record);
+  if (!JsonAttributeExtractor::Instance()->Extract(record, attribute_,
+                                                   scratch)) {
+    return false;
+  }
+  const Slice av(*scratch);
+  return av.compare(lo) >= 0 && av.compare(hi) <= 0;
+}
+
 bool SecondaryIndex::FetchAndValidate(const Slice& primary_key,
                                       const Slice& lo, const Slice& hi,
                                       SequenceNumber stored_seq,

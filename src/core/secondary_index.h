@@ -81,9 +81,11 @@ struct PostingCandidate {
   SequenceNumber seq = 0;
 };
 
-/// Extra exact predicate over a full record value, applied by the scan
-/// variants' conjunctive path after the driven attribute matched. Must be a
-/// pure function of the record bytes (it runs on pool workers under
+/// Exact predicate over a full record value for the scan variants'
+/// conjunctive path. It is the whole predicate, the driven attribute's
+/// equality included: the scan applies it in place of its own attribute
+/// check (ScanMatches), so each record is scanned once. Must be a pure
+/// function of the record bytes (it runs on pool workers under
 /// read_parallelism).
 using RecordFilter = std::function<bool(const Slice& record)>;
 
@@ -224,6 +226,13 @@ class SecondaryIndex {
                              const Slice& lo, const Slice& hi,
                              std::vector<QueryResult>* out,
                              std::vector<char>* valid);
+
+  /// The scan variants' record predicate: (*filter)(record) when a filter
+  /// is given (see RecordFilter), else whether the record carries the
+  /// attribute with a value in [lo, hi]. `scratch` receives the extracted
+  /// value.
+  bool ScanMatches(const Slice& record, const Slice& lo, const Slice& hi,
+                   const RecordFilter* filter, std::string* scratch) const;
 
   /// True when the primary table opts queries into batched, fanned-out
   /// candidate resolution.
